@@ -112,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.list_scenarios:
         for name in sorted(SCENARIOS):
             config = SCENARIOS[name](7)
@@ -125,11 +126,16 @@ def main(argv=None) -> int:
             print(f"{name:<12} {description}")
         return 0
 
-    recorder = obs.enable() if (args.metrics or args.trace) else None
     try:
         config = SCENARIOS[args.scenario](args.seed)
         if args.n_users is not None:
             config = config.with_overrides(n_users=args.n_users)
+        config.population_config()  # validates the population knobs
+    except ValueError as error:
+        parser.error(f"invalid configuration: {error}")
+
+    recorder = obs.enable() if (args.metrics or args.trace) else None
+    try:
         print(f"running scenario {args.scenario!r} (seed={args.seed}, "
               f"{config.n_users} users) ...", file=sys.stderr)
         started = time.perf_counter()

@@ -33,7 +33,7 @@ class SimulationConfig:
     secondary_email_rate: float = 0.70
     recycled_secondary_rate: float = 0.07
     owner_two_factor_adoption: float = 0.0
-    #: Defer mailbox-history materialization to first access.  Lazily and
+    #: Defer mailbox-history materialization to the first read.  Lazily and
     #: eagerly built worlds are bit-identical (per-account child seeds);
     #: the flag exists for differential testing and memory studies.
     lazy_history: bool = True

@@ -8,13 +8,22 @@ is a first-class operation here.
 
 Scale notes: a mailbox can defer its pre-simulation history.  The
 population builder hands it a *seeder* callback (closed over a
-per-account child seed) via :meth:`Mailbox.defer_seed`; the first
-operation that touches messages — delivery, search, folder views,
-snapshots, the correspondent list — runs the seeder before doing its
-work, so history exists exactly when something first looks, and an
-untouched account costs nothing.  Because the seeder draws only from its
-own private RNG, materialization order cannot perturb any other stream:
-lazily-built worlds are bit-identical to eagerly-built ones.
+per-account child seed) via :meth:`Mailbox.defer_seed`.  Delivery does
+not run it: mail arriving at a pending mailbox is filed as an arrival
+(duplicate check, filters, forwarding and the correspondent cache all
+apply at arrival time).  The first *read* — folder views, search,
+``len``, contact reads, snapshots, deletion, or a ``get`` of an id that
+did not arrive — runs the seeder, which files history through
+:meth:`Mailbox.file_history` (no filters: none existed at build time)
+ahead of the arrivals, so arrival order and search order equal an
+eagerly-built mailbox's.  An account that only ever receives mail costs
+nothing.  Because the seeder draws only from its own private RNG,
+materialization order cannot perturb any other stream: lazily-built
+worlds are bit-identical to eagerly-built ones.
+
+The search token index is lazy too: it is built from the whole mailbox
+on the first indexed :meth:`Mailbox.search` and maintained by later
+deliveries.
 """
 
 from __future__ import annotations
@@ -72,15 +81,16 @@ class Mailbox:
         self._messages: Dict[str, EmailMessage] = {}
         self._order: List[str] = []          # insertion order = arrival order
         self._positions: Dict[str, int] = {}  # message id -> arrival index
-        #: Inverted index: haystack token -> message ids.  Message content
-        #: is immutable after delivery, so postings never go stale; only
-        #: placement (folder/starred/deleted) changes and search re-checks
-        #: it per candidate.
-        self._postings: Dict[str, Set[str]] = {}
+        #: Inverted index: haystack token -> message ids, built on the
+        #: first indexed search.  Message content is immutable after
+        #: delivery, so postings never go stale; only placement
+        #: (folder/starred/deleted) changes and search re-checks it per
+        #: candidate.
+        self._postings: Optional[Dict[str, Set[str]]] = None
         self.filters: List[MailFilter] = []
         #: Callback invoked when a filter forwards a message elsewhere.
         self.on_forward: Optional[Callable[[EmailMessage, EmailAddress], None]] = None
-        #: Deferred history seeder; run (once) by the first message access.
+        #: Deferred history seeder; run (once) by the first message read.
         self._seeder: Optional[Callable[["Mailbox"], None]] = None
         #: Distinct correspondents, maintained incrementally on delivery
         #: (content is append-only, so this never goes stale).
@@ -90,7 +100,7 @@ class Mailbox:
     # -- lazy history ------------------------------------------------------
 
     def defer_seed(self, seeder: Callable[["Mailbox"], None]) -> None:
-        """Register a history seeder to run on first message access."""
+        """Register a history seeder to run on the first message read."""
         if self._seeder is not None:
             raise ValueError(f"mailbox {self.owner} already has a pending seeder")
         self._seeder = seeder
@@ -101,16 +111,46 @@ class Mailbox:
         return self._seeder is not None
 
     def _materialize(self) -> None:
+        """Seed history ahead of the mail that arrived while pending."""
         seeder, self._seeder = self._seeder, None
         obs.count("population.build.history_materialized")
+        arrivals = list(self._messages.values())
+        self._messages, self._order, self._positions = {}, [], {}
         seeder(self)
+        for message in arrivals:
+            self._file(message)
 
     # -- message lifecycle -------------------------------------------------
 
+    def _file(self, message: EmailMessage) -> None:
+        """Append a placed message to the indices and correspondents."""
+        message_id = message.message_id
+        self._messages[message_id] = message
+        self._positions[message_id] = len(self._order)
+        self._order.append(message_id)
+        if self._postings is not None:
+            _index_tokens(self._postings, message)
+        correspondents = self._correspondents
+        owner = self.owner
+        for address in (message.sender,) + message.recipients:
+            if address != owner:
+                key = str(address)
+                if key not in correspondents:
+                    correspondents[key] = address
+                    self._contacts_sorted = None
+
+    def file_history(self, message: EmailMessage, folder: Folder) -> None:
+        """File pre-simulation history, bypassing filters (the world is
+        built before any filter exists, however late history seeds)."""
+        message.folder = folder
+        self._file(message)
+
     def deliver(self, message: EmailMessage, folder: Folder = Folder.INBOX) -> None:
-        """File an arriving message, applying filters in creation order."""
-        if self._seeder is not None:
-            self._materialize()
+        """File an arriving message, applying filters in creation order.
+
+        A pending mailbox stays pending: the message joins the arrivals
+        that materialization later files after history.
+        """
         if message.message_id in self._messages:
             raise ValueError(f"duplicate delivery of {message.message_id}")
         message.folder = folder
@@ -121,26 +161,15 @@ class Mailbox:
                 message.folder = mail_filter.move_to
             if mail_filter.forward_to is not None and self.on_forward is not None:
                 self.on_forward(message, mail_filter.forward_to)
-        self._messages[message.message_id] = message
-        self._positions[message.message_id] = len(self._order)
-        self._order.append(message.message_id)
-        for token in message.search_tokens():
-            self._postings.setdefault(token, set()).add(message.message_id)
-        correspondents = self._correspondents
-        owner = self.owner
-        for address in (message.sender,) + message.recipients:
-            if address != owner:
-                key = str(address)
-                if key not in correspondents:
-                    correspondents[key] = address
-                    self._contacts_sorted = None
+        self._file(message)
 
     def file_sent(self, message: EmailMessage) -> None:
         """Record an outgoing message in Sent Mail."""
         self.deliver(message, folder=Folder.SENT)
 
     def get(self, message_id: str) -> EmailMessage:
-        if self._seeder is not None:
+        """Look up a message; an arrival is served without seeding."""
+        if self._seeder is not None and message_id not in self._messages:
             self._materialize()
         return self._messages[message_id]
 
@@ -230,8 +259,14 @@ class Mailbox:
         if not parts:
             return set(self._positions)
         probe = max(parts, key=len)
+        postings = self._postings
+        if postings is None:
+            obs.count("mailbox.index.builds")
+            postings = self._postings = {}
+            for message in self._messages.values():
+                _index_tokens(postings, message)
         candidates: Set[str] = set()
-        for token, posting in self._postings.items():
+        for token, posting in postings.items():
             if probe in token:
                 candidates |= posting
         return candidates
@@ -325,3 +360,9 @@ class Mailbox:
         snapshot_filters = set(snapshot.filter_ids)
         self.filters = [f for f in self.filters if f.filter_id in snapshot_filters]
         return changed
+
+
+def _index_tokens(postings: Dict[str, Set[str]], message: EmailMessage) -> None:
+    message_id = message.message_id
+    for token in message.search_tokens():
+        postings.setdefault(token, set()).add(message_id)

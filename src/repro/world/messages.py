@@ -106,8 +106,8 @@ class EmailMessage:
         """The whitespace-separated words of this message's search haystack.
 
         Content fields (subject/body/keywords) never change after
-        delivery — only placement does — so mailboxes may index these
-        tokens once at delivery time.
+        delivery — only placement does — so a mailbox may index these
+        tokens once and keep the index for good.
         """
         return frozenset(self._haystack().split())
 

@@ -18,7 +18,8 @@ Scale architecture (the path to 10⁵–10⁶ accounts):
   stream is consumed exactly once (a 64-bit master draw); each account
   then owns a child seed derived from ``(master, account_id)``, and its
   history materializes from a private ``random.Random(child_seed)`` the
-  first time anything touches the mailbox.  The derivation is
+  first time anything reads the mailbox (mail delivered before that
+  waits as arrivals behind it).  The derivation is
   order-independent, so worlds built lazily are **bit-identical** to
   worlds built eagerly (``PopulationConfig.lazy_history=False``) no
   matter which mailboxes get touched, in what order, or never.
@@ -197,7 +198,7 @@ class PopulationConfig:
     edu_filter_strength: float = 0.30
     provider_filter_strength: float = 0.85
     other_provider_filter_strength: float = 0.97
-    #: Defer per-account mailbox history to first access (the scale
+    #: Defer per-account mailbox history to the first read (the scale
     #: default).  ``False`` seeds every mailbox at build time; either
     #: way the artifacts are bit-identical (per-account child seeds).
     lazy_history: bool = True
@@ -428,7 +429,7 @@ class HistorySeeder:
                 starred=rng.random() < 0.08,
                 read=True,
             )
-            mailbox.deliver(
+            mailbox.file_history(
                 message, folder=Folder.INBOX if incoming else Folder.SENT,
             )
 

@@ -38,6 +38,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--artifacts", " , "])
 
+    @pytest.mark.parametrize("n_users", ["0", "-5"])
+    def test_invalid_config_exits_with_one_line_error(self, n_users, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--n-users", n_users])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.strip().splitlines()[-1] == (
+            f"repro: error: invalid configuration: "
+            f"need at least one user, got {n_users}")
+        assert not obs.enabled()
+
 
 class TestRegistries:
     def test_every_scenario_callable(self):

@@ -2,9 +2,10 @@
 
 The population builder defers per-account mailbox history behind a
 child-seeded materializer.  These tests pin the contract: nothing is
-seeded until first access, every message-touching entry point triggers
-seeding, access order is irrelevant, and a lazily-built world is
-bit-identical to an eagerly-built one.
+seeded until the first read, every message-reading entry point triggers
+seeding while delivery only files an arrival, access order is
+irrelevant, and a lazily-built world is bit-identical to an eagerly-built
+one.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.net.phones import PhoneNumberPlan
 from repro.util.ids import IdMinter
 from repro.util.rng import RngRegistry
@@ -22,6 +24,7 @@ from repro.world.equivalence import (
     mailbox_fingerprint,
     population_fingerprint,
 )
+from repro.world.mailbox import MailFilter, MailboxSnapshot
 from repro.world.messages import EmailMessage, Folder
 from repro.world.population import (
     ExternalVictimPool,
@@ -38,6 +41,25 @@ def build(seed: int = 11, lazy: bool = True, n_users: int = 60,
         mean_contacts=6, lazy_history=lazy, **overrides)
     return build_population(config, rngs, IdMinter(),
                             PhoneNumberPlan(rngs.stream("phones")))
+
+
+def busiest_account_id(seed: int = 11) -> str:
+    """The account with the most history (so orderings are non-trivial)."""
+    eager = build(seed=seed, lazy=False)
+    return max(eager.accounts.values(),
+               key=lambda a: len(a.mailbox)).account_id
+
+
+def arrivals_for(account, count: int = 4):
+    """Fresh mail whose subjects share a term with seeded history."""
+    return [
+        EmailMessage(
+            message_id=f"probe-{index}",
+            sender=account.address.with_username(f"new{index}"),
+            recipients=(account.address,),
+            subject=f"re: update {index}", sent_at=10 + index)
+        for index in range(count)
+    ]
 
 
 class TestLazyTriggers:
@@ -58,11 +80,10 @@ class TestLazyTriggers:
         lambda mailbox: mailbox.starred(),
         lambda mailbox: mailbox.snapshot(now=0),
         lambda mailbox: mailbox.delete_all(),
-        lambda mailbox: mailbox.deliver(EmailMessage(
-            message_id="probe-0", sender=mailbox.owner.with_username("x"),
-            recipients=(mailbox.owner,), subject="hi", sent_at=1)),
+        lambda mailbox: mailbox.restore_from(MailboxSnapshot(
+            taken_at=0, message_states={}, filter_ids=())),
     ], ids=["len", "messages", "search", "contacts", "contact_count",
-            "starred", "snapshot", "delete_all", "deliver"])
+            "starred", "snapshot", "delete_all", "restore_from"])
     def test_every_message_entry_point_materializes(self, touch):
         population = build(lazy=True)
         account = next(iter(population.accounts.values()))
@@ -92,6 +113,87 @@ class TestLazyTriggers:
         order = lazy_account.mailbox.messages(include_deleted=True)
         assert order[-1].message_id == "probe-1"
         assert all(m.message_id.startswith("msgh-") for m in order[:-1])
+
+    def test_deliver_and_get_of_arrival_keep_history_pending(self):
+        population = build(lazy=True)
+        account = population.accounts[busiest_account_id()]
+        mailbox = account.mailbox
+        probes = arrivals_for(account)
+        for probe in probes:
+            mailbox.deliver(probe)
+        assert mailbox.get("probe-2") is probes[2]
+        assert mailbox.history_pending
+        first_history_id = f"msgh-{account.account_id.rpartition('-')[2]}-0000"
+        assert mailbox.get(first_history_id).message_id == first_history_id
+        assert not mailbox.history_pending
+
+    def test_first_read_after_arrivals_matches_eager(self):
+        """Arrivals filed while pending land after history: the first
+        read sees the same arrival order and search order as an eager
+        mailbox fed the same deliveries."""
+        account_id = busiest_account_id()
+        lazy = build(lazy=True).accounts[account_id]
+        eager = build(lazy=False).accounts[account_id]
+        for account in (lazy, eager):
+            for probe in arrivals_for(account):
+                account.mailbox.deliver(probe)
+        assert lazy.mailbox.history_pending
+
+        def ids(messages):
+            return [m.message_id for m in messages]
+
+        assert ids(lazy.mailbox.messages(include_deleted=True)) \
+            == ids(eager.mailbox.messages(include_deleted=True))
+        for query in ("re:", "update", "re: update 3"):
+            assert ids(lazy.mailbox.search(query)) \
+                == ids(eager.mailbox.search(query))
+        assert any(m.message_id.startswith("msgh-")
+                   for m in lazy.mailbox.search("re:"))
+        assert mailbox_fingerprint(lazy.mailbox) \
+            == mailbox_fingerprint(eager.mailbox)
+
+    def test_deliveries_without_search_build_no_index(self):
+        population = build(lazy=True)
+        account = population.accounts[busiest_account_id()]
+        with obs.recording() as recorder:
+            for probe in arrivals_for(account):
+                account.mailbox.deliver(probe)
+            assert recorder.counters.get("mailbox.index.builds", 0) == 0
+            assert recorder.counters.get(
+                "population.build.history_materialized", 0) == 0
+            account.mailbox.search("update")
+            account.mailbox.search("re:")
+        assert recorder.counters["mailbox.index.builds"] == 1
+        assert recorder.counters["population.build.history_materialized"] == 1
+
+
+class TestHistoryBypassesFilters:
+    """History predates the simulation, so no filter may ever see it —
+    however late the seeder runs."""
+
+    def test_forwarding_filter_before_first_read(self):
+        account_id = busiest_account_id()
+        lazy = build(lazy=True).accounts[account_id]
+        eager = build(lazy=False).accounts[account_id]
+        forwarded = {"lazy": [], "eager": []}
+        rule = MailFilter(
+            filter_id="f-1", created_at=3, created_by_hijacker=True,
+            forward_to=lazy.address.with_username("drop"),
+            move_to=Folder.TRASH)
+        for label, account in (("lazy", lazy), ("eager", eager)):
+            account.mailbox.on_forward = (
+                lambda message, _to, sink=forwarded[label]:
+                sink.append(message.message_id))
+            account.mailbox.add_filter(rule)
+            for probe in arrivals_for(account, count=2):
+                account.mailbox.deliver(probe)
+        assert mailbox_fingerprint(lazy.mailbox) \
+            == mailbox_fingerprint(eager.mailbox)
+        assert forwarded["lazy"] == forwarded["eager"] == [
+            "probe-0", "probe-1"]
+        assert not any(m.folder is Folder.TRASH
+                       for m in lazy.mailbox.messages()
+                       if m.message_id.startswith("msgh-"))
 
 
 class TestLazyEagerEquivalence:
