@@ -22,10 +22,10 @@ def test_figure12_phone_attribution(benchmark, attribution_result):
 def test_group_inference(benchmark, attribution_result):
     """Section 7's organized-group inference: distinct (country,
     language) clusters, with the five main countries all represented."""
+    from repro.analysis.datasets import Datasets
     from repro.attribution.groups import infer_groups
-    from repro.core.datasets import DatasetCatalog
 
-    cases = DatasetCatalog(attribution_result).d13_hijack_cases()
+    cases = Datasets(attribution_result).get("hijack_cases")
     clusters = benchmark(
         infer_groups, attribution_result.store, attribution_result.geoip,
         cases)

@@ -13,8 +13,8 @@ import time
 
 from repro import Simulation
 from repro.analysis import figure11, figure12, workweek
+from repro.analysis.datasets import Datasets
 from repro.attribution.groups import infer_groups
-from repro.core.datasets import DatasetCatalog
 from repro.core.scenarios import attribution_study
 
 
@@ -31,7 +31,7 @@ def main() -> None:
     print("paper: NG 35.7% and CI 33.8% dominate; CN/MY absent "
           "(they never used the phone-lockout tactic)\n")
 
-    cases = DatasetCatalog(result).d13_hijack_cases()
+    cases = Datasets(result).get("hijack_cases")
     clusters = infer_groups(result.store, result.geoip, cases)
     print(f"inferred {len(clusters)} distinct groups from "
           f"{len(cases)} cases:")

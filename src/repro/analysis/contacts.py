@@ -14,13 +14,13 @@ Three measurements:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.analysis.curation import hijack_windows, hijacker_logins, review_message
+from repro.analysis.curation import review_message
+from repro.analysis.datasets import Datasets, contact_cohorts
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.datasets import DatasetCatalog
 from repro.core.simulation import SimulationResult
-from repro.logs.events import MailReportedEvent, MailSentEvent
+from repro.logs.events import MailSentEvent
 from repro.util.clock import DAY
 
 
@@ -60,19 +60,22 @@ class ContactLift:
         return self.contact_rate / self.random_rate
 
 
-def hijack_day_deltas(result: SimulationResult, sample: int = 575, *,
+def hijack_day_deltas(result: SimulationResult, *,
                       accounts: Optional[Sequence] = None,
                       windows: Optional[Dict[str, Tuple[int, int]]] = None,
                       reports: Optional[Sequence] = None) -> HijackDayDeltas:
-    """Volume / recipient / report ratios, averaged over hijacked accounts."""
-    if accounts is None:
-        accounts = DatasetCatalog(result).d7_hijacked_accounts(sample=sample)
-    if windows is None:
-        windows = hijack_windows(result.store,
-                                 [a.account_id for a in accounts])
+    """Volume / recipient / report ratios, averaged over hijacked accounts.
 
+    Inputs default to Dataset 7, its incident timeline (hijack windows),
+    and every spam/phishing report.
+    """
+    data = Datasets(result)
+    if accounts is None:
+        accounts = data.get("hijacked_accounts")
+    if windows is None:
+        windows = data.get("incident_timeline")
     if reports is None:
-        reports = result.store.query(MailReportedEvent)
+        reports = data.get("mail_reports")
     reported_message_ids = {r.message_id for r in reports}
 
     volume_day = volume_prev = 0
@@ -118,11 +121,11 @@ def hijack_day_deltas(result: SimulationResult, sample: int = 575, *,
     )
 
 
-def scam_phishing_split(result: SimulationResult, sample: int = 200, *,
+def scam_phishing_split(result: SimulationResult, *,
                         messages: Optional[Sequence] = None) -> Dict[str, float]:
     """The manual review of Dataset 8: category → share."""
     if messages is None:
-        messages = DatasetCatalog(result).d8_reported_hijack_mail(sample=sample)
+        messages = Datasets(result).get("reported_hijack_mail")
     if not messages:
         return {}
     counts: Dict[str, int] = {}
@@ -136,8 +139,7 @@ def scam_phishing_split(result: SimulationResult, sample: int = 200, *,
 def contact_lift(result: SimulationResult, cohort_size: int = 3000,
                  seed_window_days: Optional[int] = None,
                  follow_up_days: int = 60, *,
-                 logins: Optional[Sequence] = None,
-                 catalog: Optional[DatasetCatalog] = None) -> ContactLift:
+                 logins: Optional[Sequence] = None) -> ContactLift:
     """Dataset 9's experiment.
 
     The paper sampled contacts of hijacked accounts and counted manual
@@ -154,7 +156,7 @@ def contact_lift(result: SimulationResult, cohort_size: int = 3000,
     # Victim exposure times: first hijacker login per exploited account
     # within the seed window.
     if logins is None:
-        logins = hijacker_logins(result.store)
+        logins = Datasets(result).get("hijacker_logins")
     first_hijack_login: Dict[str, int] = {}
     for login in logins:
         first_hijack_login.setdefault(login.account_id, login.timestamp)
@@ -196,10 +198,7 @@ def contact_lift(result: SimulationResult, cohort_size: int = 3000,
     )
 
     # Random cohort: active users observed over matched windows.
-    if catalog is None:
-        catalog = DatasetCatalog(result)
-    _, random_cohort = catalog.d9_cohorts(
-        cohort_size=cohort_size, seed_window_days=seed_window_days)
+    _, random_cohort = contact_cohorts(result, seed_window_days, cohort_size)
     exposure_times = sorted(at for _, at in contact_items) or [0]
     random_hits = 0
     for index, account in enumerate(random_cohort):
@@ -264,7 +263,7 @@ def render(deltas: HijackDayDeltas, split: Dict[str, float],
           description=("Section 5.3: hijack-day deltas, scam/phish split, "
                        "and the contact-targeting lift"),
           deps=("hijacked_accounts", "incident_timeline", "mail_reports",
-                "reported_hijack_mail", "hijacker_logins", "catalog"))
+                "reported_hijack_mail", "hijacker_logins"))
 def _registered(ctx: ArtifactContext) -> str:
     return render(
         hijack_day_deltas(ctx.result,
@@ -273,6 +272,4 @@ def _registered(ctx: ArtifactContext) -> str:
                           reports=ctx.dataset("mail_reports")),
         scam_phishing_split(ctx.result,
                             messages=ctx.dataset("reported_hijack_mail")),
-        contact_lift(ctx.result,
-                     logins=ctx.dataset("hijacker_logins"),
-                     catalog=ctx.dataset("catalog")))
+        contact_lift(ctx.result, logins=ctx.dataset("hijacker_logins")))

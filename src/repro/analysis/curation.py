@@ -10,7 +10,7 @@ which human/verdict process it stands in for.  Analyses never read
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.logs.events import Actor, LoginEvent, SearchEvent
 from repro.logs.store import LogStore
@@ -82,16 +82,20 @@ def hijacker_logins(store: LogStore,
     )
 
 
-def hijack_windows(store: LogStore,
-                   account_ids: List[str]) -> Dict[str, Tuple[int, int]]:
-    """Per-account (first, last) hijacker-login timestamps.
+def hijack_windows(logins: Iterable[LoginEvent],
+                   account_ids: Iterable[str]) -> Dict[str, Tuple[int, int]]:
+    """Per-account (first, last) timestamps of the given hijacker logins.
 
     Stands in for: the per-case incident timelines the authors could
     reconstruct from verdicted sessions; used to scope "hijack day"
-    analyses like the Section 5.3 volume deltas.
+    analyses like the Section 5.3 volume deltas.  ``logins`` is a
+    :func:`hijacker_logins` extraction.
     """
+    wanted = set(account_ids)
     windows: Dict[str, Tuple[int, int]] = {}
-    for login in hijacker_logins(store, account_ids):
+    for login in logins:
+        if login.account_id not in wanted:
+            continue
         first, last = windows.get(
             login.account_id, (login.timestamp, login.timestamp))
         windows[login.account_id] = (

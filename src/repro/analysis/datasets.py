@@ -10,6 +10,17 @@ paid the same scans many times over.  Here every extraction is a
 :class:`Datasets` resolver, and shared by every artifact that declares
 it (see :mod:`repro.analysis.registry`).
 
+The 14 datasets of Table 1 live here too, each built the way the paper
+assembled it: a noisy pool (user reports, detections, login logs)
+narrowed by curation.  Where the authors used human reviewers we use
+the text classifier / template reviewer; where they used
+high-confidence abuse verdicts we use the recovery-claim +
+hijacker-access criterion the paper itself describes.  Sample sizes are
+the paper's (Table 1's "paper n") but clamp to what the simulated world
+produced, and every sampling draw comes from the dataset's own
+child-seeded RNG (``datasets:d<N>``), so a dataset's contents never
+depend on which other dataset was built first.
+
 Contract:
 
 * **Pure.**  A builder is a deterministic function of the result and its
@@ -32,23 +43,43 @@ Contract:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple,
+)
 
 from repro import obs
-from repro.core.datasets import DatasetCatalog
+from repro.analysis.curation import (
+    hijack_windows,
+    hijacker_logins,
+    hijacker_searches,
+    review_message,
+)
 from repro.core.simulation import SimulationResult
+from repro.hijacker.incident import IncidentOutcome
 from repro.logs.events import (
     Actor,
     FolderOpenEvent,
     HijackFlagEvent,
+    HttpRequestEvent,
+    MailReportedEvent,
     MailSentEvent,
     NotificationEvent,
+    RecoveryClaimEvent,
+    SettingsChangeEvent,
 )
+from repro.scams.classifier import MessageCategory
+from repro.util.clock import DAY, HOUR
+from repro.util.rng import child_seed
+from repro.world.accounts import Account
+from repro.world.messages import EmailMessage
+from repro.world.users import ActivityLevel
 
 __all__ = [
-    "Dataset", "Datasets", "UndeclaredDatasetError", "UnknownDatasetError",
-    "dataset", "dataset_closure", "dataset_names", "get_dataset",
+    "Dataset", "DatasetSpec", "Datasets", "UndeclaredDatasetError",
+    "UnknownDatasetError", "contact_cohorts", "dataset", "dataset_closure",
+    "dataset_names", "earlier_era_accounts", "get_dataset",
 ]
 
 
@@ -163,117 +194,354 @@ class Datasets:
         return tuple(self._cache)
 
 
-# -- the catalog and its curated datasets ------------------------------------
-#
-# The shared DatasetCatalog is itself a dataset: every builder that
-# narrows a Table 1 pool goes through one catalog instance, whose own
-# per-(dataset, args) memoization collapses repeated builds (e.g. D7
-# feeding both Section 5.4 and the Table 1 inventory).
+# -- Table 1 ------------------------------------------------------------------
 
-@dataset("catalog")
-def _catalog(data: Datasets) -> DatasetCatalog:
-    """The shared Table 1 catalog (D1–D14 builders, memoized)."""
-    return DatasetCatalog(data.result)
+@dataclass(frozen=True)
+class DatasetSpec:
+    """One row of Table 1."""
 
-
-@dataset("dataset_specs", deps=("catalog",))
-def _dataset_specs(data: Datasets):
-    """Every Table 1 row: all 14 datasets built at paper sample sizes."""
-    return data.get("catalog").build_all()
+    dataset_id: int
+    data_type: str
+    requested: int
+    actual: int
+    used_in_section: str
 
 
-@dataset("phishing_emails", deps=("catalog",))
-def _phishing_emails(data: Datasets):
-    """D1: reported emails curated down to real phishing."""
-    return data.get("catalog").d1_phishing_emails()
+#: Table 1's static columns in row order: id, data type, paper n, section,
+#: and the dataset behind the row.  Paper n is also the sample size the
+#: builder draws; ``None`` marks a full extraction (paper n = actual).
+#: D10 is D7 on an earlier-era run (:func:`earlier_era_accounts`), so
+#: its row is fixed: one result collects none of it.
+_TABLE1 = (
+    (1, "Phishing emails", 100, "4.1", "phishing_emails"),
+    (2, "Phishing pages detected by SafeBrowsing", 100, "4.1",
+     "detected_pages"),
+    (3, "Google Forms taken down for phishing", 100, "4.2",
+     "forms_http_logs"),
+    (4, "Decoy credentials injected in phishing pages", 200, "5.1",
+     "decoys"),
+    (5, "Login attempts from IPs belonging to hijackers", 300, "5.1",
+     "hijacker_ips"),
+    (6, "Keywords searched by hijackers", None, "5.2", "hijacker_searches"),
+    (7, "High-confidence hijacked accounts", 575, "5.2", "hijacked_accounts"),
+    (8, "Mail sent from hijacked accounts reported as spam", 200, "5.3",
+     "reported_hijack_mail"),
+    (9, "Hijacked account contacts and active-user random sample", 3000,
+     "5.3", "contact_cohorts"),
+    (10, "High-confidence hijacked accounts (earlier era)", 600, "5.4", None),
+    (11, "Hijacked accounts successfully recovered", 5000, "6.2",
+     "recovered_accounts"),
+    (12, "Account recovery claims (one month)", None, "6.3",
+     "recovery_claims_month"),
+    (13, "Hijacking cases for IP attribution", 3000, "7", "hijack_cases"),
+    (14, "Phone numbers used by hijackers", 300, "7", "hijacker_phones"),
+)
+_PAPER_N = {row[0]: row[2] for row in _TABLE1}
 
 
-@dataset("detected_pages", deps=("catalog",))
-def _detected_pages(data: Datasets):
-    """D2: phishing pages detected by SafeBrowsing."""
-    return data.get("catalog").d2_detected_pages()
+def _rng(result: SimulationResult, dataset_id: int) -> random.Random:
+    return random.Random(
+        child_seed(result.config.seed, f"datasets:d{dataset_id}"))
 
 
-@dataset("forms_http_logs", deps=("catalog",))
-def _forms_http_logs(data: Datasets):
-    """D3: per-page HTTP logs of taken-down Forms pages."""
-    return data.get("catalog").d3_forms_http_logs()
+def _sample(result: SimulationResult, dataset_id: int, items: List,
+            size: Optional[int] = None) -> List:
+    """``items`` when they fit the paper n, else a seeded random sample."""
+    size = _PAPER_N[dataset_id] if size is None else size
+    if len(items) <= size:
+        return items
+    return _rng(result, dataset_id).sample(items, size)
 
 
-@dataset("hijacked_accounts", deps=("catalog",))
-def _hijacked_accounts(data: Datasets):
-    """D7: high-confidence manually hijacked accounts."""
-    return data.get("catalog").d7_hijacked_accounts()
+# -- shared source pools ------------------------------------------------------
 
-
-@dataset("reported_hijack_mail", deps=("catalog",))
-def _reported_hijack_mail(data: Datasets):
-    """D8: reported mail sent from hijacked accounts in-window."""
-    return data.get("catalog").d8_reported_hijack_mail()
-
-
-@dataset("recovery_claims_month", deps=("catalog",))
-def _recovery_claims_month(data: Datasets):
-    """D12: one month of recovery claims."""
-    return data.get("catalog").d12_recovery_claims()
-
-
-@dataset("hijack_cases", deps=("catalog",))
-def _hijack_cases(data: Datasets):
-    """D13: hijack-case account ids for IP attribution."""
-    return data.get("catalog").d13_hijack_cases()
-
-
-@dataset("mail_reports", deps=("catalog",))
-def _mail_reports(data: Datasets):
+@dataset("mail_reports")
+def _mail_reports(data: Datasets) -> List[MailReportedEvent]:
     """Every spam/phishing report (the unindexable D1/D8 source pool)."""
-    return data.get("catalog").mail_reports()
+    return data.result.store.query(MailReportedEvent)
 
 
-@dataset("recovery_claims", deps=("catalog",))
-def _recovery_claims(data: Datasets):
+@dataset("recovery_claims")
+def _recovery_claims(data: Datasets) -> List[RecoveryClaimEvent]:
     """Every recovery claim, timestamp-sorted."""
-    return data.get("catalog").recovery_claims()
+    return data.result.store.query(RecoveryClaimEvent)
 
 
-# -- hijacker action streams (login sessions & in-account behavior) ----------
+@dataset("http_requests")
+def _http_requests(data: Datasets) -> List[HttpRequestEvent]:
+    """Every phishing-page HTTP request (D3's source pool)."""
+    return data.result.store.query(HttpRequestEvent)
+
 
 @dataset("hijacker_logins")
 def _hijacker_logins(data: Datasets):
     """Login attempts attributed to manual hijackers (D5/D13 verdicts)."""
-    from repro.analysis.curation import hijacker_logins
-
     return hijacker_logins(data.result.store)
+
+
+@dataset("hijacker_searches")
+def _hijacker_searches(data: Datasets):
+    """D6: search events attributed to hijacker sessions."""
+    return hijacker_searches(data.result.store)
+
+
+def _resolve_reported_message(result: SimulationResult,
+                              report: MailReportedEvent
+                              ) -> Optional[EmailMessage]:
+    message = result.mail.message_index.get(report.message_id)
+    if message is not None:
+        return message
+    reporter = result.population.accounts.get(report.reporter_account_id)
+    if reporter is None:
+        return None
+    try:
+        return reporter.mailbox.get(report.message_id)
+    except KeyError:
+        return None
+
+
+# -- D1–D14 -------------------------------------------------------------------
+
+@dataset("phishing_emails", deps=("mail_reports",))
+def _phishing_emails(data: Datasets) -> List[EmailMessage]:
+    """D1: reported emails curated down to real phishing.
+
+    Curation keeps messages that explicitly phish for credentials or
+    link phishing pages, reviewing a random pool of up to 5,000 reports
+    (shuffled even when the pool is small: log order would bias the
+    curated 100 toward whatever campaigns ran first).
+    """
+    reports = data.get("mail_reports")
+    pool = _rng(data.result, 1).sample(reports, min(5000, len(reports)))
+    curated: List[EmailMessage] = []
+    seen = set()
+    for report in pool:
+        message = _resolve_reported_message(data.result, report)
+        if message is None or message.message_id in seen:
+            continue
+        seen.add(message.message_id)
+        if review_message(message) is MessageCategory.PHISHING:
+            curated.append(message)
+        if len(curated) >= _PAPER_N[1]:
+            break
+    return curated
+
+
+@dataset("detected_pages")
+def _detected_pages(data: Datasets):
+    """D2: phishing pages detected by SafeBrowsing."""
+    chosen = _sample(data.result, 2, list(data.result.safebrowsing.detections))
+    return sorted(chosen, key=lambda d: d.detected_at)
+
+
+@dataset("forms_http_logs", deps=("http_requests",))
+def _forms_http_logs(data: Datasets) -> Dict[str, List[HttpRequestEvent]]:
+    """D3: per-page HTTP logs of taken-down Forms pages."""
+    forms = [d for d in data.result.safebrowsing.detections
+             if d.hosting.value == "forms"]
+    by_page: Dict[str, List[HttpRequestEvent]] = {
+        detection.page_id: [] for detection in _sample(data.result, 3, forms)
+    }
+    for event in data.get("http_requests"):
+        if event.request.page_id in by_page:
+            by_page[event.request.page_id].append(event)
+    return by_page
+
+
+@dataset("decoys")
+def _decoys(data: Datasets):
+    """D4: decoy credentials injected in phishing pages."""
+    return list(data.result.decoys.records)
+
+
+@dataset("hijacker_ips", deps=("hijacker_logins",))
+def _hijacker_ips(data: Datasets):
+    """D5: hijacker login attempts grouped by source IP.
+
+    Curation stands in for the manual IP-blocklist the authors held:
+    actor ground truth selects hijacker logins, then the analysis sees
+    only (ip → attempts).
+    """
+    by_ip: Dict[str, List] = {}
+    for login in data.get("hijacker_logins"):
+        if login.ip is not None:
+            by_ip.setdefault(str(login.ip), []).append(login)
+    return by_ip
+
+
+def _high_confidence_accounts(data: Datasets, size: int) -> List[Account]:
+    claimed = {claim.account_id for claim in data.get("recovery_claims")}
+    exploited = {
+        report.account_id
+        for report in data.result.incidents
+        if report.outcome is IncidentOutcome.EXPLOITED
+        and report.account_id is not None
+    }
+    chosen = _sample(data.result, 7, sorted(claimed & exploited), size)
+    return [data.result.population.accounts[a] for a in sorted(chosen)]
+
+
+@dataset("hijacked_accounts", deps=("recovery_claims",))
+def _hijacked_accounts(data: Datasets) -> List[Account]:
+    """D7: accounts whose recovery claims indicate manual hijacking."""
+    return _high_confidence_accounts(data, _PAPER_N[7])
+
+
+def earlier_era_accounts(data: Datasets) -> List[Account]:
+    """D10: D7's curation on an earlier-era run, at D10's paper n."""
+    return _high_confidence_accounts(data, _PAPER_N[10])
 
 
 @dataset("incident_timeline", deps=("hijacker_logins", "hijacked_accounts"))
 def _incident_timeline(data: Datasets):
     """Per hijacked account, the (first, last) hijacker-login window."""
-    wanted = {account.account_id for account in data.get("hijacked_accounts")}
-    windows: Dict[str, Tuple[int, int]] = {}
-    for login in data.get("hijacker_logins"):
-        if login.account_id not in wanted:
-            continue
-        first, last = windows.get(
-            login.account_id, (login.timestamp, login.timestamp))
-        windows[login.account_id] = (
-            min(first, login.timestamp), max(last, login.timestamp))
-    return windows
+    wanted = [account.account_id for account in data.get("hijacked_accounts")]
+    return hijack_windows(data.get("hijacker_logins"), wanted)
 
+
+@dataset("reported_hijack_mail",
+         deps=("hijacked_accounts", "incident_timeline", "mail_reports"))
+def _reported_hijack_mail(data: Datasets) -> List[EmailMessage]:
+    """D8: reported mail sent from hijacked accounts in-window.
+
+    The paper scopes Dataset 8 to "the day of the suspected hijacking";
+    we scope to each account's hijack window (first to last hijacker
+    login) plus two hours of slack — a hijacker session's sends all land
+    within an hour of the last login, and a tight window keeps the
+    owner's unrelated mail (also occasionally reported) out of the
+    sample, as the authors' review would have.
+    """
+    hijacked = {account.account_id
+                for account in data.get("hijacked_accounts")}
+    windows = data.get("incident_timeline")
+    messages: List[EmailMessage] = []
+    seen = set()
+    for report in data.get("mail_reports"):
+        if report.sender_account_id not in hijacked:
+            continue
+        message = _resolve_reported_message(data.result, report)
+        if message is None or message.message_id in seen:
+            continue
+        window = windows.get(report.sender_account_id)
+        if window is None:
+            continue
+        if not window[0] <= message.sent_at <= window[1] + 2 * HOUR:
+            continue
+        seen.add(message.message_id)
+        messages.append(message)
+    return _sample(data.result, 8, messages)
+
+
+def contact_cohorts(result: SimulationResult, seed_window_days: int,
+                    cohort_size: int = 3000,
+                    ) -> Tuple[List[Account], List[Account]]:
+    """D9: (contacts-of-victims, random-actives) cohorts.
+
+    Victims are accounts exploited within the first
+    ``seed_window_days``; the follow-up window is everything after,
+    mirroring the paper's 60-day observation.
+    """
+    population = result.population
+    early_victims = {
+        report.account_id
+        for report in result.incidents
+        if report.outcome is IncidentOutcome.EXPLOITED
+        and report.account_id is not None
+        and report.pickup_at < seed_window_days * DAY
+    }
+    victim_users = {
+        population.accounts[a].owner.user_id for a in early_victims
+    }
+    contact_users = population.contact_graph.neighborhood(victim_users)
+    contact_accounts = [
+        population.account_of_user(user_id)
+        for user_id in sorted(contact_users)
+    ]
+    rng = _rng(result, 9)
+    if len(contact_accounts) > cohort_size:
+        contact_accounts = rng.sample(contact_accounts, cohort_size)
+    active = [
+        account for account in population.accounts.values()
+        if account.owner.activity in (ActivityLevel.DAILY, ActivityLevel.WEEKLY)
+        and account.owner.user_id not in victim_users
+    ]
+    random_accounts = (
+        active if len(active) <= cohort_size
+        else rng.sample(active, cohort_size)
+    )
+    return contact_accounts, random_accounts
+
+
+@dataset("contact_cohorts")
+def _contact_cohorts(data: Datasets):
+    """D9: contacts of week-one victims and a random active cohort."""
+    return contact_cohorts(data.result, seed_window_days=7)
+
+
+@dataset("recovered_accounts")
+def _recovered_accounts(data: Datasets) -> List[str]:
+    """D11: hijacked accounts successfully recovered."""
+    recovered = sorted(
+        case.account_id
+        for case in data.result.remediation.recovered_cases())
+    return sorted(_sample(data.result, 11, recovered))
+
+
+@dataset("recovery_claims_month", deps=("recovery_claims",))
+def _recovery_claims_month(data: Datasets) -> List[RecoveryClaimEvent]:
+    """D12: the last month (28 days) of recovery claims."""
+    since = max(0, data.result.horizon_minutes - 28 * DAY)
+    # Tail of the shared (timestamp-sorted) claim pool — the same events
+    # a windowed store query would bisect out.
+    return [claim for claim in data.get("recovery_claims")
+            if claim.timestamp >= since]
+
+
+@dataset("hijack_cases")
+def _hijack_cases(data: Datasets) -> List[str]:
+    """D13: hijack-case account ids for IP attribution."""
+    cases = sorted({
+        report.account_id
+        for report in data.result.incidents
+        if report.outcome.gained_access and report.account_id is not None
+    })
+    return sorted(_sample(data.result, 13, cases))
+
+
+@dataset("hijacker_phones")
+def _hijacker_phones(data: Datasets):
+    """D14: phone numbers hijackers enrolled for two-factor lockout."""
+    changes = data.result.store.query(
+        SettingsChangeEvent, actor=Actor.MANUAL_HIJACKER,
+        where=lambda e: e.setting == "two_factor" and e.phone is not None,
+    )
+    return _sample(data.result, 14, [change.phone for change in changes])
+
+
+@dataset("dataset_specs",
+         deps=tuple(row[4] for row in _TABLE1 if row[4] is not None))
+def _dataset_specs(data: Datasets) -> List[DatasetSpec]:
+    """Every Table 1 row: paper n beside the n this world produced."""
+    specs = []
+    for dataset_id, data_type, paper_n, section, name in _TABLE1:
+        actual = 0
+        if name == "contact_cohorts":
+            actual = min(len(cohort) for cohort in data.get(name))
+        elif name is not None:
+            actual = len(data.get(name))
+        specs.append(DatasetSpec(
+            dataset_id, data_type, actual if paper_n is None else paper_n,
+            actual, section))
+    return specs
+
+
+# -- hijacker action streams (in-account behavior) ----------------------------
 
 @dataset("hijacker_sends")
 def _hijacker_sends(data: Datasets):
     """Mail sent by manual hijackers from victim accounts."""
     return data.result.store.query(
         MailSentEvent, actor=Actor.MANUAL_HIJACKER)
-
-
-@dataset("hijacker_searches")
-def _hijacker_searches(data: Datasets):
-    """Search events attributed to hijacker sessions (D6)."""
-    from repro.analysis.curation import hijacker_searches
-
-    return hijacker_searches(data.result.store)
 
 
 @dataset("hijacker_folder_opens")

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro.analysis.datasets import Datasets
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.datasets import DatasetCatalog
 from repro.core.simulation import SimulationResult
 from repro.logs.mapreduce import MapReduceJob, run_job
 from repro.util.render import bar_chart
@@ -37,11 +37,10 @@ class Figure10:
         return tuple((method, self.success_rate(method)) for method in METHODS)
 
 
-def compute(result: SimulationResult, window_days: int = 28, *,
+def compute(result: SimulationResult, *,
             claims: Optional[Sequence] = None) -> Figure10:
     if claims is None:
-        claims = DatasetCatalog(result).d12_recovery_claims(
-            window_days=window_days)
+        claims = Datasets(result).get("recovery_claims_month")
     job = MapReduceJob(
         mapper=lambda claim: [(claim.method, (1, 1 if claim.succeeded else 0))],
         reducer=lambda _method, pairs: (

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.datasets import Datasets
 from repro.analysis.registry import ArtifactContext, artifact
 from repro.attribution.geolocate import country_shares, geolocate_hijack_ips
-from repro.core.datasets import DatasetCatalog
 from repro.core.simulation import SimulationResult
 from repro.util.render import bar_chart
 
@@ -32,10 +32,10 @@ class Figure11:
         return 0.0
 
 
-def compute(result: SimulationResult, sample: int = 3000, *,
+def compute(result: SimulationResult, *,
             cases: Optional[Sequence[str]] = None) -> Figure11:
     if cases is None:
-        cases = DatasetCatalog(result).d13_hijack_cases(sample=sample)
+        cases = Datasets(result).get("hijack_cases")
     counts = geolocate_hijack_ips(result.store, result.geoip, cases)
     return Figure11(counts=counts, shares=country_shares(counts))
 

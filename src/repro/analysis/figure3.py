@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.datasets import Datasets
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.datasets import DatasetCatalog
 from repro.core.simulation import SimulationResult
 from repro.logs.mapreduce import count_by
 from repro.net.http import Method, ReferrerClass, classify_referrer
@@ -38,10 +38,10 @@ class Figure3:
         )
 
 
-def compute(result: SimulationResult, sample: int = 100, *,
+def compute(result: SimulationResult, *,
             logs: Optional[Dict] = None) -> Figure3:
     if logs is None:
-        logs = DatasetCatalog(result).d3_forms_http_logs(sample=sample)
+        logs = Datasets(result).get("forms_http_logs")
     views = [
         event.request
         for events in logs.values()

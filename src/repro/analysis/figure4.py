@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.datasets import Datasets
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.datasets import DatasetCatalog
 from repro.core.simulation import SimulationResult
 from repro.logs.mapreduce import count_by
 from repro.net.email_addr import EmailAddress
@@ -37,10 +37,10 @@ class Figure4:
         )
 
 
-def compute(result: SimulationResult, sample: int = 100, *,
+def compute(result: SimulationResult, *,
             logs: Optional[Dict] = None) -> Figure4:
     if logs is None:
-        logs = DatasetCatalog(result).d3_forms_http_logs(sample=sample)
+        logs = Datasets(result).get("forms_http_logs")
     tlds = []
     for events in logs.values():
         for event in events:

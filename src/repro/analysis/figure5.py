@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.datasets import Datasets
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.datasets import DatasetCatalog
 from repro.core.simulation import SimulationResult
 from repro.net.http import Method
 from repro.util.distributions import mean
@@ -37,13 +37,13 @@ class Figure5:
         return min((rate for _, rate, _, _ in self.rates), default=0.0)
 
 
-def compute(result: SimulationResult, sample: int = 100,
-            min_views: int = 8, *, logs: Optional[Dict] = None) -> Figure5:
+def compute(result: SimulationResult, min_views: int = 8, *,
+            logs: Optional[Dict] = None) -> Figure5:
     """Conversion per page; pages with too few views are dropped (a
     3-view page's 0% or 33% is noise, and the paper's per-page chart is
     built from pages with real traffic)."""
     if logs is None:
-        logs = DatasetCatalog(result).d3_forms_http_logs(sample=sample)
+        logs = Datasets(result).get("forms_http_logs")
     rates: List[Tuple[str, float, int, int]] = []
     for page_id, events in sorted(logs.items()):
         gets = sum(1 for e in events if e.request.method is Method.GET)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.datasets import Datasets
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.datasets import DatasetCatalog
 from repro.core.simulation import SimulationResult
 from repro.net.http import Method
 from repro.util.clock import HOUR
@@ -62,10 +62,10 @@ def _outlier_score(series: List[float], quiet_hours: int = 12) -> float:
     return late - 3.0 * early
 
 
-def compute(result: SimulationResult, sample: int = 100, *,
+def compute(result: SimulationResult, *,
             logs: Optional[Dict] = None) -> Figure6:
     if logs is None:
-        logs = DatasetCatalog(result).d3_forms_http_logs(sample=sample)
+        logs = Datasets(result).get("forms_http_logs")
     all_series: Dict[str, List[float]] = {
         page_id: _hourly_series(events)
         for page_id, events in logs.items() if events

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.analysis.datasets import Datasets
 from repro.analysis.registry import ArtifactContext, artifact
 from repro.core.simulation import SimulationResult
 from repro.logs.events import (
@@ -18,7 +19,7 @@ from repro.logs.events import (
     NotificationEvent,
     RecoveryClaimEvent,
 )
-from repro.recovery.latency import latency_histogram, recovery_latencies
+from repro.recovery.latency import latency_histogram
 from repro.util.clock import HOUR
 from repro.util.distributions import EmpiricalCdf
 from repro.util.render import series_table, sparkline
@@ -47,7 +48,7 @@ class Figure9:
 def compute(result: SimulationResult, *,
             latencies: Optional[Sequence[int]] = None) -> Figure9:
     if latencies is None:
-        latencies = recovery_latencies(result.store)
+        latencies = Datasets(result).get("recovery_latencies")
     return Figure9(latencies=tuple(latencies))
 
 

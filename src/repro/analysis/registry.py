@@ -36,8 +36,8 @@ from repro.core.simulation import SimulationResult
 
 __all__ = [
     "Artifact", "ArtifactContext", "UnknownArtifactError", "artifact",
-    "artifact_keys", "artifacts", "descriptions", "get", "legacy_artifact_map",
-    "render_artifact", "render_artifacts", "report_sequence",
+    "artifact_keys", "artifacts", "descriptions", "get", "render_artifact",
+    "render_artifacts", "report_sequence",
 ]
 
 
@@ -196,16 +196,3 @@ def render_artifacts(result: SimulationResult, keys: Iterable[str],
     """
     ctx = ArtifactContext(result, earlier_era_result)
     return {key: render_artifact(key, ctx) for key in keys}
-
-
-def legacy_artifact_map() -> Dict[str, Callable[[SimulationResult], str]]:
-    """Key → ``render(result)`` callables (the pre-registry CLI shape).
-
-    Each callable builds a private context, so artifacts rendered this
-    way behave exactly like the old hand-wired modules — tests use the
-    map to check standalone and pipelined renders agree byte-for-byte.
-    """
-    def bind(key: str) -> Callable[[SimulationResult], str]:
-        return lambda result: render_artifact(key, ArtifactContext(result))
-
-    return {key: bind(key) for key in sorted(_REGISTRY)}

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Set
 
+from repro.analysis.datasets import Datasets, earlier_era_accounts
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.datasets import DatasetCatalog
 from repro.core.simulation import SimulationResult
 from repro.logs.events import Actor, SettingsChangeEvent
 from repro.util.render import ascii_table, format_percent
@@ -36,10 +36,10 @@ class RetentionRates:
     two_factor_rate: float
 
 
-def compute(result: SimulationResult, sample: int = 575, *,
+def compute(result: SimulationResult, *,
             accounts: Optional[Sequence] = None) -> RetentionRates:
     if accounts is None:
-        accounts = DatasetCatalog(result).d7_hijacked_accounts(sample=sample)
+        accounts = Datasets(result).get("hijacked_accounts")
     wanted = {account.account_id for account in accounts}
     changes = result.store.query(
         SettingsChangeEvent, actor=Actor.MANUAL_HIJACKER,
@@ -84,12 +84,12 @@ class RetentionEvolution:
 
 
 def evolution(result_2011: SimulationResult,
-              result_2012: SimulationResult,
-              sample_2011: int = 600, sample_2012: int = 575,
-              ) -> RetentionEvolution:
+              result_2012: SimulationResult) -> RetentionEvolution:
+    """Dataset 10 (the earlier era's sample) against Dataset 7."""
     return RetentionEvolution(
-        earlier=compute(result_2011, sample=sample_2011),
-        later=compute(result_2012, sample=sample_2012),
+        earlier=compute(result_2011, accounts=earlier_era_accounts(
+            Datasets(result_2011))),
+        later=compute(result_2012),
     )
 
 

@@ -9,15 +9,15 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.analysis.datasets import Datasets, DatasetSpec
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.datasets import DatasetCatalog, DatasetSpec
 from repro.core.simulation import SimulationResult
 from repro.util.render import ascii_table
 
 
 def compute(result: SimulationResult) -> List[DatasetSpec]:
     """Build all datasets and return their specs in Table 1 order."""
-    return DatasetCatalog(result).build_all()
+    return Datasets(result).get("dataset_specs")
 
 
 def render(specs: List[DatasetSpec]) -> str:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.curation import review_phishing_target
+from repro.analysis.datasets import Datasets
 from repro.analysis.registry import ArtifactContext, artifact
-from repro.core.datasets import DatasetCatalog
 from repro.core.simulation import SimulationResult
 from repro.logs.mapreduce import count_by
 from repro.util.render import ascii_table
@@ -39,15 +39,14 @@ class Table2:
         ]
 
 
-def compute(result: SimulationResult, sample: int = 100, *,
+def compute(result: SimulationResult, *,
             emails: Optional[Sequence] = None,
             detections: Optional[Sequence] = None) -> Table2:
-    if emails is None or detections is None:
-        catalog = DatasetCatalog(result)
-        if emails is None:
-            emails = catalog.d1_phishing_emails(sample=sample)
-        if detections is None:
-            detections = catalog.d2_detected_pages(sample=sample)
+    data = Datasets(result)
+    if emails is None:
+        emails = data.get("phishing_emails")
+    if detections is None:
+        detections = data.get("detected_pages")
     email_counts = count_by(emails, key_of=review_phishing_target)
 
     pages_by_id = {page.page_id: page for page in result.pages}

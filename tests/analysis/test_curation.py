@@ -92,8 +92,10 @@ class TestLogCuration:
         store.append(LoginEvent(timestamp=90, account_id="acct-000000",
                                 ip=IP, password_correct=True, succeeded=True,
                                 actor=Actor.MANUAL_HIJACKER))
-        windows = curation.hijack_windows(store, ["acct-000000"])
+        windows = curation.hijack_windows(
+            curation.hijacker_logins(store), ["acct-000000"])
         assert windows["acct-000000"] == (10, 90)
 
     def test_windows_empty_without_hijacker_logins(self):
-        assert curation.hijack_windows(LogStore(), ["acct-000000"]) == {}
+        assert curation.hijack_windows(
+            curation.hijacker_logins(LogStore()), ["acct-000000"]) == {}

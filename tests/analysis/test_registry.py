@@ -21,6 +21,16 @@ from repro.analysis.registry import (
 #: Infrastructure modules of repro.analysis that do not render artifacts.
 _NON_ARTIFACT_MODULES = {"curation", "datasets", "registry"}
 
+#: Every artifact that renders off its own declared dataset subgraph.
+_NON_COMPOSITE_KEYS = [art.key for art in registry.artifacts()
+                       if not art.composite]
+
+
+def _built_by_counters(recorder) -> set:
+    prefix = "analysis.dataset.build."
+    return {key[len(prefix):] for key in recorder.counters
+            if key.startswith(prefix)}
+
 
 class TestDeclarations:
     def test_every_artifact_has_a_nonempty_description(self):
@@ -75,19 +85,17 @@ class TestDeclarations:
 
 
 class TestSubgraphSelection:
-    def test_renders_only_declared_closure(self, smoke_result):
-        art = registry.get("figure5")
+    @pytest.mark.parametrize("key", _NON_COMPOSITE_KEYS)
+    def test_renders_only_declared_closure(self, smoke_result, key):
+        art = registry.get(key)
         with obs.recording() as recorder:
             ctx = ArtifactContext(smoke_result)
-            render_artifact("figure5", ctx)
+            render_artifact(key, ctx)
         built = set(ctx.datasets.built())
         assert built == set(dataset_closure(art.deps))
         # The obs counters tell the same story: one build per dataset in
         # the closure, nothing else.
-        builds = {key[len("analysis.dataset.build."):]
-                  for key in recorder.counters
-                  if key.startswith("analysis.dataset.build.")}
-        assert builds == built
+        assert _built_by_counters(recorder) == built
 
     def test_undeclared_dataset_access_raises(self, smoke_result):
         registry.artifact(
@@ -155,8 +163,18 @@ class TestDatasetLayer:
     def test_closure_is_transitive(self):
         closure = dataset_closure(("recovery_latencies",))
         assert closure == frozenset(
-            {"recovery_latencies", "recovery_claims", "hijack_flags",
-             "catalog"})
+            {"recovery_latencies", "recovery_claims", "hijack_flags"})
+        assert dataset_closure(("reported_hijack_mail",)) == frozenset(
+            {"reported_hijack_mail", "hijacked_accounts", "recovery_claims",
+             "incident_timeline", "hijacker_logins", "mail_reports"})
+
+    @pytest.mark.parametrize("name", dataset_names())
+    def test_builds_exactly_its_closure(self, smoke_result, name):
+        data = Datasets(smoke_result)
+        with obs.recording() as recorder:
+            data.get(name)
+        assert set(data.built()) == dataset_closure((name,))
+        assert _built_by_counters(recorder) == set(data.built())
 
     def test_builder_deps_resolve(self, smoke_result):
         data = Datasets(smoke_result)

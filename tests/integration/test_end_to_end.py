@@ -3,7 +3,7 @@ acquisition → exploitation → remediation, traced in the logs."""
 
 import pytest
 
-from repro.analysis.curation import hijack_windows
+from repro.analysis.curation import hijack_windows, hijacker_logins
 from repro.hijacker.incident import IncidentOutcome
 from repro.logs.events import (
     Actor,
@@ -77,7 +77,8 @@ class TestLifecycleOrdering:
 class TestCrossChecks:
     def test_hijack_window_brackets_logins(self, lifecycle):
         result, report, _events = lifecycle
-        windows = hijack_windows(result.store, [report.account_id])
+        windows = hijack_windows(hijacker_logins(result.store),
+                                 [report.account_id])
         window = windows[report.account_id]
         # All hijacker logins happen between pickup and session end.
         assert report.pickup_at <= window[0] <= report.session_start

@@ -14,10 +14,18 @@ from benchmarks import perf_gate
 def test_quick_gate_passes_and_writes_report(tmp_path):
     output = tmp_path / "BENCH_logstore.json"
     worldbuild_output = tmp_path / "BENCH_worldbuild.json"
+    report_output = tmp_path / "BENCH_report.json"
+    simloop_output = tmp_path / "BENCH_simloop.json"
+    # Every section writes under tmp_path: the tracked BENCH_*.json files
+    # at the repo root stay untouched by a test run.
     exit_code = perf_gate.main(
         ["--quick", "--output", str(output),
-         "--worldbuild-output", str(worldbuild_output)])
+         "--worldbuild-output", str(worldbuild_output),
+         "--report-output", str(report_output),
+         "--simloop-output", str(simloop_output)])
     assert exit_code == 0
+    for written in (worldbuild_output, report_output, simloop_output):
+        assert json.loads(written.read_text(encoding="utf-8"))["gate"]["passed"]
     report = json.loads(output.read_text(encoding="utf-8"))
     assert report["gate"]["passed"]
     assert report["store"]["n_events"] == 10_000
