@@ -25,11 +25,12 @@ Ordering contract (the reason entries are keyed the way they are):
   them in.
 
 ``REPRO_SCHEDULER=0`` is the kill switch: it keeps the legacy rescan
-loop alive for differential testing (the same pattern as
-``REPRO_PARALLEL`` in :mod:`repro.core.parallel`).  Both loops must
-produce bit-identical :class:`~repro.core.simulation.SimulationResult`
-artifacts; ``tests/property/test_scheduler_equivalence.py`` and the
-``--simloop-only`` perf gate enforce it.
+loop alive as the reference implementation for differential testing.
+Both loops must produce bit-identical
+:class:`~repro.core.simulation.SimulationResult` artifacts;
+``tests/property/test_scheduler_equivalence.py`` enforces it, and its
+quiet-horizon case pins the wheel's work to what is scheduled, not to
+world size times horizon.
 """
 
 from __future__ import annotations

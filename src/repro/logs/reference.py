@@ -4,8 +4,7 @@ This is the original, pre-index implementation — full scans, a fresh
 stable sort per query — kept as the executable specification the indexed
 store must match byte-for-byte.  The property tests in
 ``tests/property/test_logstore_properties.py`` diff the two on random
-append/query/remove interleavings, and ``benchmarks/perf_gate.py``
-measures the indexed store's speedup against it.
+append/query/remove interleavings.
 
 Do not use this in production paths; it is O(n log n) per query.
 """

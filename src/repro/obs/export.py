@@ -4,8 +4,8 @@ Three formats, one source of truth:
 
 * :func:`format_summary` — the human-readable per-phase rollup the CLI
   prints to stderr under ``--metrics``.
-* :func:`metrics_snapshot` — a plain-dict JSON snapshot; the perf gate
-  embeds it into ``BENCH_logstore.json`` so the bench trajectory carries
+* :func:`metrics_snapshot` — a plain-dict JSON snapshot of counters,
+  gauges, histograms and span rollups, for tools that store a run's
   per-layer numbers.
 * :func:`chrome_trace` / :func:`write_chrome_trace` — Chrome trace-event
   JSON (the ``{"traceEvents": [...]}`` object form) loadable in Perfetto

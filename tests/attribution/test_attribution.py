@@ -1,5 +1,11 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.attribution.geolocate import (
     country_shares,
     dominant_countries,
@@ -20,6 +26,27 @@ def world(rng):
     allocator = IpAllocator(rng)
     geoip = build_default_internet(allocator)
     return allocator, geoip
+
+
+#: One hijacker login from each of six countries: every country ties.
+_TIED_CASE_SCRIPT = """
+import random
+from repro.attribution.groups import case_signature
+from repro.logs.events import Actor, LoginEvent
+from repro.logs.store import LogStore
+from repro.net.geoip import build_default_internet
+from repro.net.ip import IpAllocator
+
+allocator = IpAllocator(random.Random(12345))
+geoip = build_default_internet(allocator)
+store = LogStore()
+for country in ("NG", "ZA", "VE", "MY", "CN", "CI"):
+    store.append(LoginEvent(
+        timestamp=100, account_id="acct-000000",
+        ip=allocator.allocate(country), password_correct=True,
+        succeeded=True, actor=Actor.MANUAL_HIJACKER))
+print(case_signature(store, geoip, "acct-000000").country)
+"""
 
 
 def hijacker_login(account_id, ip, timestamp=100):
@@ -152,3 +179,13 @@ class TestGroupInference:
         assert len(clusters) == 2
         sizes = sorted(len(cases) for cases in clusters.values())
         assert sizes == [4, 4]
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1", "2", "3", "42"])
+    def test_country_tie_breaks_to_smallest_code(self, hash_seed):
+        """Tied countries resolve the same way under every hash seed."""
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        output = subprocess.run(
+            [sys.executable, "-c", _TIED_CASE_SCRIPT], env=env,
+            capture_output=True, text=True, check=True, timeout=120).stdout
+        assert output.strip() == "CI"

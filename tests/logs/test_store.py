@@ -1,8 +1,13 @@
+import random
+from collections import Counter
+
 import pytest
 
-from repro.logs.events import Actor, LoginEvent, SearchEvent
+from repro import obs
+from repro.logs.events import Actor, LoginEvent, NotificationEvent, SearchEvent
 from repro.logs.store import LogStore
 from repro.net.ip import IpAddress
+from repro.util.clock import DAY
 
 IP = IpAddress.parse("20.0.0.1")
 
@@ -150,3 +155,50 @@ class TestRemoveWhere:
         assert [e.timestamp
                 for e in store.query(SearchEvent, account_id="acct-000000")] \
             == [15]
+
+
+def _assert_each_query_reads_one_column(store, queries):
+    """Windowed account queries: account index only, bounded windows.
+
+    The work-count form of "no O(n) regression": every query goes
+    through the account index, none falls back to a type scan, and no
+    bisected window holds more events than the largest ``(type,
+    account)`` column, which is far below the store size.
+    """
+    largest = max(Counter(
+        (event_type, event.account_id)
+        for event_type in {event_type for event_type, _, _ in queries}
+        for event in store.query(event_type)).values())
+    with obs.recording() as recorder:
+        for event_type, since, account in queries:
+            store.query(event_type, since=since, until=since + DAY,
+                        account_id=account)
+    assert recorder.counters["logstore.query.account_index"] == len(queries)
+    assert recorder.counters.get("logstore.query.type_scan", 0) == 0
+    assert recorder.histograms["logstore.query.window_events"].maximum \
+        <= largest
+    assert largest * 10 < len(store)
+
+
+class TestQueryWork:
+    def test_synthetic_stream(self):
+        rand = random.Random(7)
+        store, timestamp = LogStore(), 0
+        for _ in range(10_000):
+            timestamp += rand.randrange(3)
+            store.append(login(timestamp,
+                               account=f"acct-{rand.randrange(500):06d}"))
+        accounts = store.accounts_seen()
+        _assert_each_query_reads_one_column(store, [
+            (LoginEvent, (index * 37) % (timestamp - DAY),
+             accounts[index % len(accounts)])
+            for index in range(50)])
+
+    def test_was_notified_shape_on_smoke_world(self, smoke_result):
+        store = smoke_result.store
+        accounts = store.accounts_seen()
+        _assert_each_query_reads_one_column(store, [
+            (event_type, (index * 997) % smoke_result.horizon_minutes,
+             accounts[index % len(accounts)])
+            for index in range(50)
+            for event_type in (NotificationEvent, LoginEvent)])

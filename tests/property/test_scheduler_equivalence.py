@@ -19,6 +19,9 @@ from hypothesis import strategies as st
 
 import pathlib
 
+import pytest
+
+from repro import obs
 from repro.analysis.report import full_report
 from repro.core.config import SimulationConfig
 from repro.core.scenarios import smoke_scenario
@@ -118,3 +121,43 @@ def test_golden_seed_report_bytes():
         result = _run(smoke_scenario(seed=7), scheduler)
         assert full_report(result) + "\n" == expected, \
             f"scheduler={scheduler} drifted from golden"
+
+
+#: Accounts on the abuse watchlist before the quiet-horizon run starts.
+_QUIET_WATCHLIST = 166
+
+
+def _quiet_run(horizon_days: int, scheduler: bool):
+    """A 2,000-user world with no campaigns and a pre-seeded watchlist.
+
+    The legacy loop probes the whole watchlist every day; the wheel
+    probes it once (its day-0 dirty set) and then has nothing scheduled.
+    """
+    config = SimulationConfig(
+        seed=11, n_users=2_000, n_external_edu=50, n_external_other=20,
+        horizon_days=horizon_days, campaigns_per_week=0,
+        standalone_pages_per_week=0, n_decoys=0,
+    )
+    with _scheduler(scheduler):
+        simulation = Simulation(config)
+    for account_id in sorted(simulation.population.accounts)[:_QUIET_WATCHLIST]:
+        simulation._watch(account_id)
+    with obs.recording() as recorder:
+        result = simulation.run()
+    return result, recorder.counters
+
+
+@pytest.mark.parametrize("horizon_days", [30, 365])
+def test_quiet_horizon_wheel_work_is_horizon_independent(horizon_days):
+    """Day-loop work follows scheduled work, not world size x horizon.
+
+    One sweep event probing each watched account once, at any horizon;
+    the legacy loop still agrees on every outcome.
+    """
+    wheel, counters = _quiet_run(horizon_days, True)
+    legacy, _ = _quiet_run(horizon_days, False)
+    assert counters["simulation.sched.fired"] == 1
+    assert counters["simulation.sched.dirty_accounts"] == _QUIET_WATCHLIST
+    assert wheel.summary() == legacy.summary()
+    assert len(wheel.store) == len(legacy.store)
+
