@@ -10,7 +10,7 @@ is computed exactly one way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.simulation import SimulationResult
 from repro.hijacker.incident import IncidentOutcome
@@ -33,7 +33,11 @@ class SummaryMetrics:
     recovery_rate: Optional[float]
 
     @classmethod
-    def from_result(cls, result: SimulationResult) -> "SummaryMetrics":
+    def from_result(cls, result: SimulationResult, *,
+                    deltas: Optional[Dict[str, Optional[int]]] = None,
+                    ) -> "SummaryMetrics":
+        """``deltas`` is a precomputed ``first_access_deltas`` (the
+        analysis layer passes its cached ``decoy_access_deltas``)."""
         incidents = result.access_incidents()
         n_actives = len(result.population)
         days = result.config.horizon_days
@@ -42,7 +46,8 @@ class SummaryMetrics:
             if n_actives and days else 0.0
         )
 
-        deltas = result.decoys.first_access_deltas(result.store)
+        if deltas is None:
+            deltas = result.decoys.first_access_deltas(result.store)
         accessed = [d for d in deltas.values() if d is not None]
         n_decoys = len(deltas)
         fraction_accessed = len(accessed) / n_decoys if n_decoys else 0.0

@@ -32,6 +32,7 @@ Scale architecture (the path to 10⁵–10⁶ accounts):
 
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Union
@@ -269,7 +270,34 @@ def build_population(config: PopulationConfig, rngs: RngRegistry,
     History and the external pool are derived via per-entity child seeds
     (order-independent), so ``lazy_history`` changes *when* state is
     paid for, never *what* it is.
+
+    Build cost at scale (a 60k-user world):
+
+    * Primary addresses are drawn against the set of usernames already
+      taken, so a rejected candidate costs a string lookup, not an
+      :class:`EmailAddress`.
+    * The cyclic garbage collector is paused for the build (the caller's
+      ``gc.isenabled()`` state is restored, also when the build raises):
+      the ~0.7M objects a build leaves are all live, and rescanning
+      them cost ~2 s.  One ``gc.collect()`` at the end of the build
+      bills the deferred collection to the build rather than to
+      whichever later phase would trigger it.  ``gc.freeze()`` is not
+      used: frozen worlds would never be freed.
+    * Each account's history child seed is derived on first read, not
+      at build time.
     """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _build_population(config, rngs, minter, phone_plan)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _build_population(config: PopulationConfig, rngs: RngRegistry,
+                      minter: IdMinter,
+                      phone_plan: PhoneNumberPlan) -> Population:
     user_rng = rngs.stream("population.users")
     history_rng = rngs.stream("population.history")
     graph_rng = rngs.stream("population.graph")
@@ -280,7 +308,7 @@ def build_population(config: PopulationConfig, rngs: RngRegistry,
 
     users: Dict[str, User] = {}
     accounts: Dict[str, Account] = {}
-    taken_addresses: set = set()
+    taken_usernames: set = set()
 
     with obs.trace("population.build", n_users=config.n_users):
         with obs.trace("population.build.users"):
@@ -288,8 +316,8 @@ def build_population(config: PopulationConfig, rngs: RngRegistry,
                 user_id = minter.mint("user")
                 country = sample_home_country(user_rng)
                 address = generate_address(user_rng, domains.PRIMARY_PROVIDER,
-                                           taken_addresses)
-                taken_addresses.add(address)
+                                           taken_usernames)
+                taken_usernames.add(address.username)
                 user = User(
                     user_id=user_id,
                     name=address.username.replace(".", " ").title(),
@@ -350,14 +378,13 @@ def build_population(config: PopulationConfig, rngs: RngRegistry,
 
         with obs.trace("population.build.history", lazy=config.lazy_history):
             for account in accounts.values():
-                seeder = HistorySeeder(
-                    population, config, account,
-                    child_seed(history_master, account.account_id),
-                )
+                seeder = HistorySeeder(population, config, account,
+                                       history_master)
                 if config.lazy_history:
                     account.mailbox.defer_seed(seeder)
                 else:
                     seeder(account.mailbox)
+        gc.collect()
     return population
 
 
@@ -370,25 +397,26 @@ class HistorySeeder:
     Section 5.3's fan-out numbers — a hijacker blasting "the contact
     list" reaches every correspondent, not just provider users.
 
-    All randomness comes from a private ``random.Random(seed)`` and all
-    message ids from a per-account namespace, so running this at build
-    time, mid-simulation, or never produces the same world.  A class
+    All randomness comes from a private ``random.Random`` seeded with
+    ``child_seed(history_master, account_id)`` and all message ids from
+    a per-account namespace, so running this at build time,
+    mid-simulation, or never produces the same world.  A class
     (not a closure) so pending mailboxes survive pickling — the parallel
     runner ships whole worlds across process boundaries.
     """
 
-    __slots__ = ("_population", "_config", "_account", "_seed")
+    __slots__ = ("_population", "_config", "_account", "_history_master")
 
     def __init__(self, population: Population, config: PopulationConfig,
-                 account: Account, seed: int):
+                 account: Account, history_master: int):
         self._population = population
         self._config = config
         self._account = account
-        self._seed = seed
+        self._history_master = history_master
 
     def __call__(self, mailbox: Mailbox) -> None:
-        rng = random.Random(self._seed)
         account = self._account
+        rng = random.Random(child_seed(self._history_master, account.account_id))
         user = account.owner
         contacts = self._population.contacts_of_account(account)
         if not contacts:

@@ -1,3 +1,4 @@
+from repro import obs
 from repro.analysis.report import full_report
 
 
@@ -18,3 +19,15 @@ class TestFullReport:
     def test_evolution_section_with_two_results(self, smoke_result):
         text = full_report(smoke_result, earlier_era_result=smoke_result)
         assert "evolution" in text
+
+    def test_header_metrics_share_the_dataset_cache(self, smoke_result):
+        """The headline metrics read ``decoy_access_deltas`` off the
+        report's shared context, so the whole report — header included —
+        stays within the standing budget of 30 log-store scans (29 on
+        smoke seed 7; 39 when the header re-queried every decoy)."""
+        with obs.recording() as recorder:
+            full_report(smoke_result)
+        scans = sum(value for key, value in recorder.counters.items()
+                    if key.startswith("logstore.query."))
+        assert scans <= 30
+        assert recorder.counters["analysis.dataset.build.decoy_access_deltas"] == 1

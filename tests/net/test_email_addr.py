@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from repro.net.email_addr import EmailAddress, generate_address, generate_username
@@ -46,5 +48,43 @@ class TestGeneration:
         taken = set()
         for _ in range(300):
             address = generate_address(rng, "primarymail.com", taken)
-            assert address not in taken
-            taken.add(address)
+            assert address.domain == "primarymail.com"
+            assert address.username not in taken
+            taken.add(address.username)
+
+
+def _reference_generate_address(rng, domain, taken):
+    """The original loop: one ``EmailAddress`` per candidate, membership
+    tested on addresses."""
+    for attempt in range(1000):
+        username = generate_username(rng)
+        if attempt > 10:
+            username = f"{username}{rng.randrange(1000)}"
+        address = EmailAddress(username, domain)
+        if address not in taken:
+            return address
+    raise RuntimeError(f"username space exhausted on {domain!r}")
+
+
+class TestGenerationMatchesReference:
+    """Rejecting candidates as strings must not move a single RNG draw.
+
+    6,000 addresses on one domain run well past the 2,860-name base
+    space, so most late calls take the ``attempt > 10`` suffix path.
+    """
+
+    def test_same_addresses_and_rng_state(self):
+        reference_rng, rng = random.Random(7), random.Random(7)
+        reference_taken, taken = set(), set()
+        reference, generated = [], []
+        for _ in range(6000):
+            address = _reference_generate_address(
+                reference_rng, "primarymail.com", reference_taken)
+            reference_taken.add(address)
+            reference.append(address)
+            address = generate_address(rng, "primarymail.com", taken)
+            taken.add(address.username)
+            generated.append(address)
+        assert generated == reference
+        assert rng.getstate() == reference_rng.getstate()
+        assert len(taken) == 6000

@@ -1,9 +1,13 @@
+import gc
+
 import pytest
 
 from repro.net.domains import PRIMARY_PROVIDER
+from repro.net.email_addr import _USERNAME_FIRST, _USERNAME_LAST
 from repro.net.phones import PhoneNumberPlan
 from repro.util.ids import IdMinter
 from repro.util.rng import RngRegistry
+from repro.world.equivalence import population_fingerprint
 from repro.world.messages import MessageKind
 from repro.world.population import (
     Population,
@@ -98,6 +102,95 @@ class TestBuildPopulation:
                     == second.accounts[account_id].password)
             assert (len(first.accounts[account_id].mailbox)
                     == len(second.accounts[account_id].mailbox))
+
+
+class TestSaturatedUsernameSpace:
+    """Pins a world large enough to exhaust the base username space.
+
+    The base space is ``first.last`` or ``firstNN``: 26 × (20 + 90) =
+    2,860 names.  Past that, ``generate_address`` falls through to its
+    ``attempt > 10`` path and appends a ``randrange(1000)`` suffix —
+    a path the 1,200-user smoke goldens never reach.  The digest was
+    recorded before the build was optimized; any change to the RNG
+    draws on either path moves it.
+    """
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        rngs = RngRegistry(7)
+        return build_population(
+            PopulationConfig(n_users=5000, n_external_edu=50,
+                             n_external_other=20, mean_history_messages=2.0),
+            rngs, IdMinter(), PhoneNumberPlan(rngs.stream("phones")),
+        )
+
+    def test_suffix_path_is_exercised(self, world):
+        base = {f"{first}.{last}" for first in _USERNAME_FIRST
+                for last in _USERNAME_LAST}
+        base |= {f"{first}{n}" for first in _USERNAME_FIRST
+                 for n in range(10, 100)}
+        suffixed = [account for account in world.accounts.values()
+                    if account.address.username not in base]
+        assert len(suffixed) == 2148
+
+    def test_fingerprint_pinned(self, world):
+        assert population_fingerprint(world, external_sample=range(20)) == (
+            "c33b9fd3077a02f3babc00fbfa1a990291243acaefdaeccd38616cee96c848e8")
+
+
+class _FailingPhonePlan:
+    def mint(self, country):
+        raise RuntimeError("phone plan exhausted")
+
+
+class TestGarbageCollectorState:
+    """The build pauses the cyclic collector; the caller's setting must
+    come back however the build ends."""
+
+    @staticmethod
+    def build(phone_plan=None):
+        rngs = RngRegistry(3)
+        return build_population(
+            PopulationConfig(n_users=40, n_external_edu=5,
+                             n_external_other=5, mean_contacts=4),
+            rngs, IdMinter(),
+            phone_plan or PhoneNumberPlan(rngs.stream("phones")),
+        )
+
+    @pytest.fixture
+    def restore_gc(self):
+        collecting = gc.isenabled()
+        yield
+        if collecting:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored(self, restore_gc, enabled):
+        gc.enable() if enabled else gc.disable()
+        self.build()
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored_when_build_raises(self, restore_gc, enabled):
+        gc.enable() if enabled else gc.disable()
+        with pytest.raises(RuntimeError, match="phone plan exhausted"):
+            self.build(_FailingPhonePlan())
+        assert gc.isenabled() is enabled
+
+    def test_collector_paused_during_build(self, restore_gc):
+        seen = []
+
+        class Probe(PhoneNumberPlan):
+            def mint(self, country):
+                seen.append(gc.isenabled())
+                return super().mint(country)
+
+        gc.enable()
+        self.build(Probe(RngRegistry(3).stream("phones")))
+        assert seen and not any(seen)
+        assert gc.isenabled()
 
 
 class TestConfigValidation:
